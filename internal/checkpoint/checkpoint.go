@@ -229,23 +229,22 @@ func (fs *FS) scheduleDrains(name string, size int) {
 	}
 }
 
-// Read loads and validates one rank's checkpoint. It returns ErrCorrupted
-// (wrapped) for files that exist but miss information, and
-// fsmodel.ErrNotExist (wrapped) for missing files.
+// Read loads and validates one rank's checkpoint: RestoreStep driven to
+// completion for that one file. It returns ErrCorrupted (wrapped) for
+// files that exist but miss information, and fsmodel.ErrNotExist
+// (wrapped) for missing files.
 func (fs *FS) Read(prefix string, iteration, rank int) (Meta, []byte, error) {
-	name := FileName(prefix, iteration, rank)
-	tier, wait := fs.readGate(name)
-	if wait > 0 {
-		fs.env.Sleep(wait)
-	}
-	return fs.readWithTier(name, tier, iteration, rank)
+	var rs RestoreState
+	rs.Begin(prefix, rank, iteration, false)
+	err := fs.restore(&rs)
+	return rs.meta, rs.payload, err
 }
 
 // readGate resolves which tier a read of name is served from and how long
 // the reader must wait first: when the only surviving copy is a drain
 // still in flight, the read blocks until it lands (interruptible — a
-// failure can strike mid-wait). Splitting the gate from the read body
-// lets program-mode restores park on the wait instead of sleeping.
+// failure can strike mid-wait). RestoreStep parks on the wait between
+// the gate and the read body.
 func (fs *FS) readGate(name string) (tier fsmodel.Model, wait vclock.Duration) {
 	tier = fs.model
 	if fs.Tiered() {
@@ -290,24 +289,25 @@ func (fs *FS) readWithTier(name string, tier fsmodel.Model, iteration, rank int)
 // tier holding a copy. Modelled-mode restarts use it the way WriteSized
 // models payload-free checkpoint writes.
 func (fs *FS) ChargeRestore(prefix string, rank, iteration int) error {
-	for hops := 0; hops < 1000; hops++ { // bound against base-pointer cycles
-		meta, _, err := fs.Read(prefix, iteration, rank)
-		if err != nil {
-			return err
-		}
-		if !meta.Incremental {
-			return nil
-		}
-		iteration = meta.BaseIteration
-	}
-	return fmt.Errorf("%w: restore chain from iteration %d too long", ErrCorrupted, iteration)
+	var rs RestoreState
+	rs.Begin(prefix, rank, iteration, true)
+	return fs.restore(&rs)
 }
 
-// RestoreState carries one checkpoint restore across program steps: the
-// step form of Read (chargeOnly=false, one file, payload kept) and of
-// ChargeRestore (chargeOnly=true, the whole delta chain, costs only).
-// The only blocking point — waiting for an in-flight drain to land — is
-// parked on instead of slept through. Zero value ready after Begin;
+// restore drives an armed restore to completion, blocking the process on
+// the drain gate.
+func (fs *FS) restore(rs *RestoreState) (err error) {
+	fs.env.Drive(func(any) (done bool, park any) {
+		done, park, err = fs.RestoreStep(rs)
+		return done, park
+	})
+	return err
+}
+
+// RestoreState carries one checkpoint restore across steps: the state
+// behind Read (chargeOnly=false, one file, payload kept) and ChargeRestore
+// (chargeOnly=true, the whole delta chain, costs only). Its only blocking
+// point is waiting for an in-flight drain to land. Ready after Begin;
 // reused restore after restore.
 type RestoreState struct {
 	prefix     string

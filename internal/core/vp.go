@@ -117,8 +117,8 @@ type vp struct {
 	panicVal  any
 	panicMsg  string
 
-	// sleeping and sleepSeq guard Ctx.Sleep against stale timer events
-	// (a timer for a sleep the VP already left must be dropped).
+	// sleeping and sleepSeq guard sleeps against stale timer events (a
+	// timer for a sleep the VP already left must be dropped).
 	sleeping bool
 	sleepSeq uint64
 
@@ -222,25 +222,18 @@ func (c *Ctx) WaitTime() vclock.Duration { return c.vp.waited }
 // native computation (the simulator cannot regain control mid-compute) and
 // Sleep for interruptible waiting.
 func (c *Ctx) Sleep(d vclock.Duration) {
-	v := c.vp
-	if d <= 0 {
-		v.checkUnwind()
-		return
+	if park, ok := c.SleepPark(d); ok {
+		c.Block(park)
 	}
-	v.sleepSeq++
-	c.Emit(Event{Time: v.clock.Add(d), Kind: kindTimer, Target: v.rank, stamp: v.sleepSeq})
-	v.sleeping = true
-	c.Block("sleep")
-	v.sleeping = false
 }
 
-// SleepPark is the program-mode counterpart of Sleep: it schedules the
-// timer event that will wake the VP after d and returns the park value
-// the Program must return from Step (ok true). For d <= 0 it returns
-// (nil, false) after the same activation check Sleep performs — the
-// program should treat that as an already-elapsed sleep and continue
-// without parking. The scheduler clears the sleeping flag on resume,
-// mirroring Sleep's post-Block bookkeeping.
+// SleepPark arms an interruptible sleep without blocking: it schedules
+// the timer event that will wake the VP after d and returns the park
+// value to block on — a Program returns it from Step, and Sleep hands it
+// to Block (ok true). For d <= 0 it returns (nil, false) after the
+// activation check a zero-length sleep performs; the caller continues
+// without parking. The resume (takeWake) clears the sleeping flag, so a
+// timer for a sleep the VP already left is dropped.
 func (c *Ctx) SleepPark(d vclock.Duration) (park any, ok bool) {
 	v := c.vp
 	if d <= 0 {
@@ -290,18 +283,31 @@ func (c *Ctx) Block(reason any) any {
 	v.blockReason = reason
 	v.gate <- yieldBlocked // hand control to the scheduler
 	<-v.gate               // wait for SchedCtx.Wake's resume
-	v.state = vpRunning
-	v.blockReason = nil
 	if v.killed {
+		// Torn down at shutdown: unwind without applying the wake.
+		v.state = vpRunning
 		panic(unwindSentinel{DeathKilled})
 	}
+	val := v.takeWake()
+	v.checkUnwind()
+	return val
+}
+
+// takeWake applies a resume's wake bookkeeping and returns the wake
+// value: the VP runs again, its clock advances to the wake time (the
+// advance counts as waiting), and an abandoned sleep's timer can no
+// longer wake it. It is the one resume path of both execution modes —
+// Block runs it on the carrier, stepProgram on the scheduler stack.
+func (v *vp) takeWake() any {
+	v.state = vpRunning
+	v.blockReason = nil
+	v.sleeping = false
 	val := v.wakeVal
 	v.wakeVal = nil // don't retain the value past this resume
 	if v.wakeAt > v.clock {
 		v.waited += v.wakeAt.Sub(v.clock)
 		v.clock = v.wakeAt
 	}
-	v.checkUnwind()
 	return val
 }
 

@@ -7,20 +7,18 @@ import (
 	"xsim/internal/mpi"
 )
 
-// NewProg returns a program-mode factory for the heat application: the
-// step-based twin of Run, observationally identical phase for phase
-// (restart probe, restore, halo exchange, compute, checkpoint, barrier,
-// delete) so closure- and program-mode experiments produce the same
-// virtual timelines. Program mode is what lets the headline experiments
-// run at 256k–1M ranks: a parked rank is a few hundred bytes of state
-// instead of a goroutine stack.
+// NewProg returns the heat application as a per-rank Prog factory. It is
+// the application's one implementation: World.RunProgs runs it in program
+// mode, where a parked rank is a few hundred bytes of state instead of a
+// goroutine stack (what lets the headline experiments run at 256k–1M
+// ranks), and Run drives it in closure mode.
 func NewProg(cfg Config) func(rank int) mpi.Prog {
 	// One shared, read-only Config for every rank: at a million VPs an
 	// embedded copy per runner is ~180 bytes/rank for identical data.
 	return func(rank int) mpi.Prog { return &heatRunner{cfg: &cfg} }
 }
 
-// heatRunner phases; the order mirrors Run's control flow.
+// heatRunner phases, in the application's control-flow order.
 const (
 	hpInit = iota
 	hpRestore
@@ -57,8 +55,10 @@ type heatRunner struct {
 	csArmed    bool
 }
 
-// haloStep posts (once) and completes the six-face exchange of
-// state.haloExchange as a resumable step.
+// haloStep swaps boundary faces with the six neighbours: receives are
+// posted first, then sends, then everything completes — the standard
+// deadlock-free pattern. In modelled mode the messages carry sizes only.
+// The first call posts the exchange; every call advances the wait.
 func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 	s := p.st
 	if !p.haloPosted {
@@ -94,8 +94,8 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 		panic(fmt.Sprintf("heat: halo waitall: %v", err))
 	}
 	if s.cfg.RealCompute {
-		// The requests are complete, so these waits cannot block; they
-		// charge the same per-receive wait call the closure path does.
+		// The requests are complete, so these waits cannot block; each
+		// charges one more MPI call, as a per-face MPI_Wait would.
 		for i, d := range directions {
 			msg, err := world.Wait(p.reqs[i])
 			if err != nil {
@@ -104,11 +104,10 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 			s.unpackFace(d, msg.Data)
 		}
 	}
-	// Recycle the completed requests (the closure path drops them to the
-	// garbage collector; freeing charges nothing and keeps steady-state
-	// allocation flat at oversubscription scale) and drop the references:
-	// the truncated slice's backing array must not pin a dozen dead
-	// Requests per parked rank until the next exchange.
+	// Recycle the completed requests (freeing charges nothing and keeps
+	// steady-state allocation flat at oversubscription scale) and drop the
+	// references: the truncated slice's backing array must not pin a dozen
+	// dead Requests per parked rank until the next exchange.
 	for i := range p.reqs {
 		world.Free(p.reqs[i])
 		p.reqs[i] = nil
@@ -118,8 +117,10 @@ func (p *heatRunner) haloStep(world *mpi.Comm) (done bool, park any) {
 	return true, nil
 }
 
-// Step advances the application; the body is Run's loop unrolled into
-// resumable phases.
+// Step advances the application — the paper's loop: restart from the
+// last valid checkpoint if one exists, then iterate with compute,
+// halo-exchange, checkpoint, barrier and delete phases, and finalise
+// cleanly — as resumable phases.
 func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 	cfg := p.cfg
 	world := env.World()
@@ -138,8 +139,15 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			}
 			p.fs = fs
 			p.st = newState(cfg, rank)
+			// Restart support: load the newest valid checkpoint, deleting
+			// any corrupted ones encountered (the cleanup script outside
+			// the simulation already removed incomplete sets). The
+			// candidate iterations follow from the checkpoint cadence, so
+			// each rank probes them directly instead of scanning the store.
 			candidates := cfg.checkpointIterations()
 			if cfg.ProactiveTrigger > 0 {
+				// Proactive checkpoints land off the regular cadence, so
+				// every iteration is a restart candidate.
 				candidates = make([]int, cfg.Iterations)
 				for i := range candidates {
 					candidates[i] = i + 1
@@ -155,6 +163,8 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			case cfg.RealCompute:
 				p.rs.Begin(cfg.prefix(), rank, it, false)
 			case fs.Tiered() || cfg.DeltaFraction > 0:
+				// Tier-aware restore: read the whole delta chain, each file
+				// from the fastest tier holding a surviving copy.
 				p.rs.Begin(cfg.prefix(), rank, it, true)
 			default:
 				env.Elapse(env.FSModel().ReadCost(cfg.payloadBytes()))
@@ -185,6 +195,9 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			if p.incr && p.startIter > 0 {
 				p.chain = checkpoint.Chain(env.FSStore(), cfg.prefix(), rank, p.startIter)
 			}
+			// Initialise the ghost layers of the (initial or restored)
+			// state so the first computation phase sees its neighbours'
+			// boundaries.
 			tr.setPhase(rank, PhaseHalo)
 			p.pc = hpInitialHalo
 		case hpInitialHalo:
@@ -222,6 +235,9 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			p.pc = hpMaybeCkpt
 		case hpMaybeCkpt:
 			iter := p.iter
+			// Proactive fault tolerance: a failure predictor fired, so
+			// write an extra checkpoint now to minimise the progress a
+			// restart would lose.
 			proactive := cfg.ProactiveTrigger > 0 && !p.proactiveDone &&
 				env.Now() >= cfg.ProactiveTrigger
 			if proactive {
@@ -246,6 +262,8 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			if err != nil {
 				panic(fmt.Sprintf("heat: rank %d checkpoint %d: %v", rank, iter, err))
 			}
+			// A global barrier synchronises all processes so the previous
+			// checkpoint can be deleted safely.
 			tr.setPhase(rank, PhaseBarrier)
 			p.pc = hpBarrier
 		case hpBarrier:
@@ -264,6 +282,9 @@ func (p *heatRunner) Step(env *mpi.Env, wake any) (any, bool) {
 			iter := p.iter
 			tr.setPhase(rank, PhaseDelete)
 			if p.incr {
+				// A full checkpoint supersedes the previous chain; a delta
+				// extends the chain and deletes nothing (every link is
+				// still needed for restore).
 				if p.full {
 					for _, old := range p.chain {
 						if old != iter {

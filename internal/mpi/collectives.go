@@ -24,46 +24,44 @@ const (
 
 // Collectives are built from the same point-to-point primitives the
 // application uses, so they inherit the pooled-event discipline for free:
-// sendTag/recvTag emit by value and only envelope payloads cross the
-// engine boundary. Their requests never escape to the application, so
-// they are recycled on return, and every hop's message is released (or
+// every hop emits by value and only envelope payloads cross the engine
+// boundary. Their requests never escape to the application, so they are
+// recycled as each hop completes, and every hop's message is released (or
 // its payload detached) once consumed — a long reduction chain runs on a
 // handful of pooled objects.
+//
+// Each algorithm (linear, as in the paper, and the binomial-tree ablation)
+// is written once, as a resumable state machine over hopStates
+// (CollectiveState below). The blocking methods (Barrier, Bcast, ...)
+// drive the process's CollectiveState to completion with Env.Drive;
+// programs step their own with CollectiveStep.
 
-// sendTag performs a blocking internal send (raw error, no handler),
-// recycling the request.
+// sendTag performs a blocking internal send (raw error, no handler) on
+// the process's hop state; the request is recycled on return. The ULFM
+// operations use it for their report/result traffic.
 func (c *Comm) sendTag(dst, tag, size int, data []byte) error {
-	req := c.isendTag(dst, tag, size, data)
-	err := c.env.wait(req)
-	c.env.ps.dp.putReq(req)
+	h := &c.env.blocking().hop
+	c.hopSend(h, dst, tag, size, data)
+	_, err := c.driveHop(h)
 	return err
 }
 
-// sendTagOwned is sendTag for a pooled buffer whose ownership transfers to
-// the MPI layer: the payload travels with no copy at either end.
-func (c *Comm) sendTagOwned(dst, tag, size int, data []byte) error {
-	req := c.isendOwned(dst, tag, size, data)
-	err := c.env.wait(req)
-	c.env.ps.dp.putReq(req)
-	return err
-}
-
-// recvTag performs a blocking internal receive (raw error, no handler),
-// recycling the request. The caller owns the returned message: it must
-// Release it (or detach its Data) once consumed.
+// recvTag performs a blocking internal receive (raw error, no handler).
+// The caller owns the returned message: it must Release it (or detach its
+// Data) once consumed.
 func (c *Comm) recvTag(src, tag int) (*Message, error) {
-	req := c.irecvTag(src, tag)
-	err := c.env.wait(req)
-	msg := req.msg
-	req.msg = nil
-	c.env.ps.dp.putReq(req)
-	if err != nil {
-		if msg != nil {
-			msg.Release()
-		}
-		return nil, err
-	}
-	return msg, nil
+	h := &c.env.blocking().hop
+	c.hopRecv(h, src, tag)
+	return c.driveHop(h)
+}
+
+// driveHop drives a posted hop to completion.
+func (c *Comm) driveHop(h *hopState) (msg *Message, err error) {
+	c.env.Drive(func(any) (done bool, park any) {
+		done, park, msg, err = c.hopStep(h)
+		return done, park
+	})
+	return msg, err
 }
 
 // detachData takes the payload out of a message that is about to escape to
@@ -76,92 +74,41 @@ func detachData(msg *Message) []byte {
 	return data
 }
 
+// collective arms the process's CollectiveState with begin and drives it
+// to completion, returning the results (byte payload, floats, per-rank
+// parts — whichever the collective produces) and the raw error. The state
+// is reset before returning, so it pins no buffers while idle and is free
+// for a collective the error handler may run; callers apply the handler
+// only after taking the results.
+func (c *Comm) collective(begin func(*CollectiveState)) (data []byte, acc []float64, out [][]byte, err error) {
+	cs := &c.env.blocking().coll
+	begin(cs)
+	c.env.Drive(func(any) (done bool, park any) {
+		done, park, err = c.collectiveStep(cs)
+		return done, park
+	})
+	data, acc, out = cs.data, cs.acc, cs.out
+	cs.arm(collNone)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return data, acc, out, nil
+}
+
 // Barrier blocks until every member reaches it. With the paper's linear
 // algorithm, every rank reports to rank 0, which then releases every rank;
 // a failure anywhere is detected here by timeout — the paper's "failure
 // during the checkpoint phase is detected in the following barrier".
 func (c *Comm) Barrier() error {
-	c.env.w.m.countCollective(c.env.Rank())
-	return c.handleError(c.barrier())
-}
-
-func (c *Comm) barrier() error {
-	if err := c.checkRevoked("barrier"); err != nil {
-		return err
-	}
-	c.env.chargeCall()
-	if c.Size() == 1 {
-		return nil
-	}
-	if c.env.w.cfg.Collectives == Tree {
-		// A zero-byte reduce-to-0 followed by a broadcast.
-		if err := c.treeGatherSignal(tagBarrierIn); err != nil {
-			return err
-		}
-		return c.treeBcastSignal(tagBarrierOut)
-	}
-	n := c.Size()
-	if c.rank == 0 {
-		for r := 1; r < n; r++ {
-			m, err := c.recvTag(r, tagBarrierIn)
-			if err != nil {
-				return err
-			}
-			m.Release()
-		}
-		for r := 1; r < n; r++ {
-			if err := c.sendTag(r, tagBarrierOut, 0, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.sendTag(0, tagBarrierIn, 0, nil); err != nil {
-		return err
-	}
-	m, err := c.recvTag(0, tagBarrierOut)
-	if err != nil {
-		return err
-	}
-	m.Release()
-	return nil
+	_, _, _, err := c.collective((*CollectiveState).BeginBarrier)
+	return c.handleError(err)
 }
 
 // Bcast broadcasts root's data to every member; every rank returns the
 // broadcast payload. Non-root callers pass nil.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.bcast(root, data, len(data), tagBcast)
+	out, _, _, err := c.collective(func(cs *CollectiveState) { cs.BeginBcast(root, data) })
 	return out, c.handleError(err)
-}
-
-func (c *Comm) bcast(root int, data []byte, size, tag int) ([]byte, error) {
-	if err := c.checkRevoked("bcast"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if c.Size() == 1 {
-		return data, nil
-	}
-	if c.env.w.cfg.Collectives == Tree {
-		return c.treeBcast(root, data, size, tag)
-	}
-	if c.rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.sendTag(r, tag, size, data); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	msg, err := c.recvTag(root, tag)
-	if err != nil {
-		return nil, err
-	}
-	return detachData(msg), nil
 }
 
 // ReduceOp folds src into dst elementwise; both slices have equal length.
@@ -192,322 +139,930 @@ var (
 // Reduce folds every member's contribution at root with op. The root
 // returns the reduction, others return nil.
 func (c *Comm) Reduce(root int, contrib []float64, op ReduceOp) ([]float64, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.reduce(root, contrib, op)
+	_, out, _, err := c.collective(func(cs *CollectiveState) { cs.BeginReduce(root, contrib, op) })
 	return out, c.handleError(err)
-}
-
-func (c *Comm) reduce(root int, contrib []float64, op ReduceOp) ([]float64, error) {
-	if err := c.checkRevoked("reduce"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if c.Size() == 1 {
-		return append([]float64(nil), contrib...), nil
-	}
-	if c.env.w.cfg.Collectives == Tree {
-		return c.treeReduce(root, contrib, op)
-	}
-	if c.rank != root {
-		return nil, c.sendTagOwned(root, tagReduce, 8*len(contrib), encodeF64sPool(c.env.ps.dp, contrib))
-	}
-	acc := append([]float64(nil), contrib...)
-	// Linear: fold contributions in rank order, which keeps the result
-	// deterministic even for non-associative floating-point ops. Each hop
-	// decodes into the per-process scratch and releases its message — the
-	// whole fold reuses one buffer and one float slice.
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		msg, err := c.recvTag(r, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		vals := c.env.ps.scratchF64(len(contrib))
-		if err := decodeF64sInto(vals, msg.Data); err != nil {
-			return nil, err
-		}
-		op(acc, vals)
-		msg.Release()
-	}
-	return acc, nil
-}
-
-// treeReduce folds contributions along a binomial tree rooted at root.
-// The fold order differs from the linear algorithm's, so results for
-// non-associative floating-point operations may differ in the last bits —
-// the usual MPI caveat.
-func (c *Comm) treeReduce(root int, contrib []float64, op ReduceOp) ([]float64, error) {
-	n := c.Size()
-	vrank := (c.rank - root + n) % n
-	acc := append([]float64(nil), contrib...)
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := (vrank - mask + root) % n
-			return nil, c.sendTagOwned(parent, tagReduce, 8*len(acc), encodeF64sPool(c.env.ps.dp, acc))
-		}
-		if child := vrank | mask; child < n {
-			msg, err := c.recvTag((child+root)%n, tagReduce)
-			if err != nil {
-				return nil, err
-			}
-			vals := c.env.ps.scratchF64(len(acc))
-			if err := decodeF64sInto(vals, msg.Data); err != nil {
-				return nil, err
-			}
-			op(acc, vals)
-			msg.Release()
-		}
-	}
-	return acc, nil
 }
 
 // Allreduce folds every member's contribution and distributes the result
 // to every member (implemented as a reduce to rank 0 plus a broadcast,
 // matching linear-algorithm MPI implementations).
 func (c *Comm) Allreduce(contrib []float64, op ReduceOp) ([]float64, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.allreduce(contrib, op)
+	_, out, _, err := c.collective(func(cs *CollectiveState) { cs.BeginAllreduce(contrib, op) })
 	return out, c.handleError(err)
-}
-
-func (c *Comm) allreduce(contrib []float64, op ReduceOp) ([]float64, error) {
-	acc, err := c.reduce(0, contrib, op)
-	if err != nil {
-		return nil, err
-	}
-	dp := c.env.ps.dp
-	var buf []byte
-	if c.rank == 0 {
-		buf = encodeF64sPool(dp, acc)
-	}
-	buf, err = c.bcast(0, buf, 8*len(contrib), tagBcast)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank == 0 {
-		// The root already holds the reduction, and decode(encode(x)) is
-		// bit-identical for float64: skip the round-trip and release the
-		// broadcast buffer (bcast copied it per send).
-		dp.putBuf(buf)
-		return acc, nil
-	}
-	out, err := decodeF64s(buf, len(contrib))
-	dp.putBuf(buf)
-	return out, err
 }
 
 // Gather collects every member's data at root in rank order. The root
 // returns one slice per rank, others return nil.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.gather(root, data, tagGather)
+	_, _, out, err := c.collective(func(cs *CollectiveState) { cs.BeginGather(root, data) })
 	return out, c.handleError(err)
-}
-
-func (c *Comm) gather(root int, data []byte, tag int) ([][]byte, error) {
-	if err := c.checkRevoked("gather"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if c.rank != root {
-		return nil, c.sendTag(root, tag, len(data), data)
-	}
-	out := make([][]byte, c.Size())
-	out[root] = append([]byte(nil), data...)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		msg, err := c.recvTag(r, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = detachData(msg)
-	}
-	return out, nil
 }
 
 // Scatter distributes parts[i] from root to rank i; every rank returns its
 // part. Non-root callers pass nil.
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.scatter(root, parts)
+	out, _, _, err := c.collective(func(cs *CollectiveState) { cs.BeginScatter(root, parts) })
 	return out, c.handleError(err)
-}
-
-func (c *Comm) scatter(root int, parts [][]byte) ([]byte, error) {
-	if err := c.checkRevoked("scatter"); err != nil {
-		return nil, err
-	}
-	c.env.chargeCall()
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", c.Size(), len(parts))
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.sendTag(r, tagScatter, len(parts[r]), parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return append([]byte(nil), parts[root]...), nil
-	}
-	msg, err := c.recvTag(root, tagScatter)
-	if err != nil {
-		return nil, err
-	}
-	return detachData(msg), nil
 }
 
 // Allgather collects every member's data at every member, in rank order
 // (gather to rank 0 plus a broadcast of the framed result).
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.allgather(data)
+	_, _, out, err := c.collective(func(cs *CollectiveState) { cs.BeginAllgather(data) })
 	return out, c.handleError(err)
-}
-
-func (c *Comm) allgather(data []byte) ([][]byte, error) {
-	parts, err := c.gather(0, data, tagAllgather)
-	if err != nil {
-		return nil, err
-	}
-	dp := c.env.ps.dp
-	var framed []byte
-	if c.rank == 0 {
-		framed = framePool(dp, parts)
-		// The gathered per-rank buffers are folded into the frame now;
-		// release the pooled ones (rank 0's own part is a fresh copy).
-		for r, p := range parts {
-			if r != c.rank {
-				dp.putBuf(p)
-			}
-		}
-	}
-	framed, err = c.bcast(0, framed, len(framed), tagAllgather)
-	if err != nil {
-		return nil, err
-	}
-	out, err := unframe(framed)
-	dp.putBuf(framed)
-	return out, err
 }
 
 // Alltoall sends parts[i] to rank i and returns one received slice per
 // rank. Receives are posted before sends so the exchange cannot deadlock
 // under the rendezvous protocol.
 func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	c.env.w.m.countCollective(c.env.Rank())
-	out, err := c.alltoall(parts)
+	_, _, out, err := c.collective(func(cs *CollectiveState) { cs.BeginAlltoall(parts) })
 	return out, c.handleError(err)
 }
 
-func (c *Comm) alltoall(parts [][]byte) ([][]byte, error) {
-	if err := c.checkRevoked("alltoall"); err != nil {
-		return nil, err
+// hopState is one internal blocking hop of a collective algorithm: post
+// the request, park on its WaitState, recycle it at completion.
+type hopState struct {
+	ws  WaitState
+	req *Request
+}
+
+// inFlight reports whether a hop has been posted and not yet completed;
+// the per-kind machines use it to distinguish "start the next hop" from
+// "resume the parked one".
+func (h *hopState) inFlight() bool { return h.req != nil }
+
+// hopSend posts a send hop.
+func (c *Comm) hopSend(h *hopState, dst, tag, size int, data []byte) {
+	h.req = c.isendTag(dst, tag, size, data)
+	h.ws.Begin(h.req)
+}
+
+// hopSendOwned posts a send hop whose pooled buffer transfers to the MPI
+// layer: the payload travels with no copy at either end.
+func (c *Comm) hopSendOwned(h *hopState, dst, tag, size int, data []byte) {
+	h.req = c.isendOwned(dst, tag, size, data)
+	h.ws.Begin(h.req)
+}
+
+// hopRecv posts a receive hop.
+func (c *Comm) hopRecv(h *hopState, src, tag int) {
+	h.req = c.irecvTag(src, tag)
+	h.ws.Begin(h.req)
+}
+
+// hopStep advances the hop; on done the caller owns msg (nil for sends):
+// it must Release it (or detach its Data) once consumed. The request has
+// been recycled.
+func (c *Comm) hopStep(h *hopState) (done bool, park any, msg *Message, err error) {
+	done, park, err = c.env.waitStep(&h.ws)
+	if !done {
+		return false, park, nil, nil
 	}
-	c.env.chargeCall()
-	if len(parts) != c.Size() {
-		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", c.Size(), len(parts))
+	req := h.req
+	h.req = nil
+	msg = req.msg
+	req.msg = nil
+	c.env.ps.dp.putReq(req)
+	if err != nil {
+		if msg != nil {
+			msg.Release()
+		}
+		return true, nil, nil, err
 	}
+	return true, nil, msg, nil
+}
+
+// collKind identifies the armed collective.
+type collKind uint8
+
+const (
+	collNone collKind = iota
+	collBarrier
+	collBcast
+	collReduce
+	collAllreduce
+	collGather
+	collScatter
+	collAllgather
+	collAlltoall
+)
+
+// CollectiveState carries one collective operation across steps: the
+// state behind Barrier/Bcast/Reduce/Allreduce/Gather/Scatter/Allgather/
+// Alltoall. Arm it with the matching Begin method, then call
+// CollectiveStep from every program step until it reports done; read the
+// result with Bytes/Floats/Parts. Zero value ready; reused collective
+// after collective. One state drives one collective at a time.
+type CollectiveState struct {
+	kind    collKind
+	counted bool
+	// phase/sub/r/mask are the resumable algorithm counters: phase is the
+	// per-algorithm program counter, sub sequences composite collectives
+	// (allreduce = reduce+bcast, allgather = gather+bcast), r is the
+	// linear rank cursor, mask the tree mask.
+	phase int
+	sub   int
+	r     int
+	mask  int
+
+	// Operands (set by Begin) and results.
+	root    int
+	tag     int
+	size    int
+	data    []byte
+	parts   [][]byte
+	contrib []float64
+	op      ReduceOp
+	acc     []float64
+	out     [][]byte
+
+	hop hopState
+	// ws and reqs/recvs serve alltoall's single posted-all wait.
+	ws    WaitState
+	reqs  []*Request
+	recvs []*Request
+}
+
+// arm resets the machine for a new collective, keeping the slice
+// capacities (request sets, wait sets) the state has already grown.
+func (cs *CollectiveState) arm(kind collKind) {
+	cs.kind = kind
+	cs.counted = false
+	cs.phase = 0
+	cs.sub = 0
+	cs.r = 0
+	cs.mask = 0
+	cs.root = 0
+	cs.tag = 0
+	cs.size = 0
+	cs.data = nil
+	cs.parts = nil
+	cs.contrib = nil
+	cs.op = nil
+	cs.acc = nil
+	cs.out = nil
+	cs.reqs = cs.reqs[:0]
+	cs.recvs = cs.recvs[:0]
+}
+
+// BeginBarrier arms a Barrier.
+func (cs *CollectiveState) BeginBarrier() { cs.arm(collBarrier) }
+
+// BeginBcast arms a Bcast of root's data; non-root callers pass nil.
+// Bytes returns the broadcast payload on done.
+func (cs *CollectiveState) BeginBcast(root int, data []byte) {
+	cs.arm(collBcast)
+	cs.root = root
+	cs.data = data
+	cs.size = len(data)
+	cs.tag = tagBcast
+}
+
+// BeginReduce arms a Reduce of contrib at root with op. Floats returns
+// the reduction at the root (nil elsewhere) on done.
+func (cs *CollectiveState) BeginReduce(root int, contrib []float64, op ReduceOp) {
+	cs.arm(collReduce)
+	cs.root = root
+	cs.contrib = contrib
+	cs.op = op
+}
+
+// BeginAllreduce arms an Allreduce; Floats returns the reduction on done.
+func (cs *CollectiveState) BeginAllreduce(contrib []float64, op ReduceOp) {
+	cs.arm(collAllreduce)
+	cs.contrib = contrib
+	cs.op = op
+}
+
+// BeginGather arms a Gather of data at root; Parts returns one slice per
+// rank at the root (nil elsewhere) on done.
+func (cs *CollectiveState) BeginGather(root int, data []byte) {
+	cs.arm(collGather)
+	cs.root = root
+	cs.data = data
+	cs.tag = tagGather
+}
+
+// BeginScatter arms a Scatter of parts from root; non-root callers pass
+// nil. Bytes returns this rank's part on done.
+func (cs *CollectiveState) BeginScatter(root int, parts [][]byte) {
+	cs.arm(collScatter)
+	cs.root = root
+	cs.parts = parts
+}
+
+// BeginAllgather arms an Allgather; Parts returns one slice per rank on
+// done.
+func (cs *CollectiveState) BeginAllgather(data []byte) {
+	cs.arm(collAllgather)
+	cs.data = data
+}
+
+// BeginAlltoall arms an Alltoall of parts[i] to rank i; Parts returns
+// one received slice per rank on done.
+func (cs *CollectiveState) BeginAlltoall(parts [][]byte) {
+	cs.arm(collAlltoall)
+	cs.parts = parts
+}
+
+// Bytes returns the byte-slice result (Bcast: the broadcast payload;
+// Scatter: this rank's part) after CollectiveStep reports done.
+func (cs *CollectiveState) Bytes() []byte { return cs.data }
+
+// Floats returns the float result (Reduce at the root, Allreduce
+// everywhere) after CollectiveStep reports done.
+func (cs *CollectiveState) Floats() []float64 { return cs.acc }
+
+// Parts returns the per-rank result (Gather at the root, Allgather,
+// Alltoall) after CollectiveStep reports done.
+func (cs *CollectiveState) Parts() [][]byte { return cs.out }
+
+// CollectiveStep advances the armed collective. It returns done == false
+// with the park value to return from Step, or done == true with the
+// operation's error after the communicator's error handler ran (with
+// ErrorsAreFatal a process-failure error aborts and this call does not
+// return), exactly like the blocking methods.
+func (c *Comm) CollectiveStep(cs *CollectiveState) (done bool, park any, err error) {
+	done, park, err = c.collectiveStep(cs)
+	if done && err != nil {
+		err = c.handleError(err)
+	}
+	return done, park, err
+}
+
+// collectiveStep is CollectiveStep with the raw error: the one
+// implementation of every collective, stepped by programs and driven by
+// the blocking methods.
+func (c *Comm) collectiveStep(cs *CollectiveState) (done bool, park any, err error) {
+	if !cs.counted {
+		c.env.w.m.countCollective(c.env.Rank())
+		cs.counted = true
+	}
+	switch cs.kind {
+	case collBarrier:
+		return c.stepBarrier(cs)
+	case collBcast:
+		return c.stepBcast(cs)
+	case collReduce:
+		return c.stepReduce(cs)
+	case collAllreduce:
+		return c.stepAllreduce(cs)
+	case collGather:
+		return c.stepGather(cs)
+	case collScatter:
+		return c.stepScatter(cs)
+	case collAllgather:
+		return c.stepAllgather(cs)
+	case collAlltoall:
+		return c.stepAlltoall(cs)
+	default:
+		panic("mpi: CollectiveStep without a Begin")
+	}
+}
+
+// Tree-phase numbers shared by the machines: the binomial-tree broadcast
+// is reachable both from stepBcast and (as the release wave, without a
+// fresh entry charge) from the tree barrier.
+const (
+	phaseTreeBcastRecv = 10
+	phaseTreeBcastSend = 11
+	phaseTreeReduce    = 20
+	phaseTreeGather    = 30
+)
+
+// stepBarrier is Barrier: linear (every rank reports to rank 0, which
+// then releases everyone) or a zero-byte tree gather plus tree bcast.
+func (c *Comm) stepBarrier(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
-	recvs := make([]*Request, 0, n-1)
-	reqs := make([]*Request, 0, 2*(n-1))
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
+	for {
+		switch cs.phase {
+		case 0:
+			if err := c.checkRevoked("barrier"); err != nil {
+				return true, nil, err
+			}
+			c.env.chargeCall()
+			if n == 1 {
+				return true, nil, nil
+			}
+			if c.env.w.cfg.Collectives == Tree {
+				cs.mask = 1
+				cs.phase = phaseTreeGather
+			} else if c.rank == 0 {
+				cs.r = 1
+				cs.phase = 1
+			} else {
+				cs.phase = 3
+			}
+		case 1: // linear rank 0: collect arrivals in rank order
+			for cs.r < n {
+				if !cs.hop.inFlight() {
+					c.hopRecv(&cs.hop, cs.r, tagBarrierIn)
+				}
+				hd, park, msg, err := c.hopStep(&cs.hop)
+				if !hd {
+					return false, park, nil
+				}
+				if err != nil {
+					return true, nil, err
+				}
+				msg.Release()
+				cs.r++
+			}
+			cs.r = 1
+			cs.phase = 2
+		case 2: // linear rank 0: release everyone
+			for cs.r < n {
+				if !cs.hop.inFlight() {
+					c.hopSend(&cs.hop, cs.r, tagBarrierOut, 0, nil)
+				}
+				hd, park, _, err := c.hopStep(&cs.hop)
+				if !hd {
+					return false, park, nil
+				}
+				if err != nil {
+					return true, nil, err
+				}
+				cs.r++
+			}
+			return true, nil, nil
+		case 3: // linear non-root: report to rank 0
+			if !cs.hop.inFlight() {
+				c.hopSend(&cs.hop, 0, tagBarrierIn, 0, nil)
+			}
+			hd, park, _, err := c.hopStep(&cs.hop)
+			if !hd {
+				return false, park, nil
+			}
+			if err != nil {
+				return true, nil, err
+			}
+			cs.phase = 4
+		case 4: // linear non-root: wait for the release
+			if !cs.hop.inFlight() {
+				c.hopRecv(&cs.hop, 0, tagBarrierOut)
+			}
+			hd, park, msg, err := c.hopStep(&cs.hop)
+			if !hd {
+				return false, park, nil
+			}
+			if err != nil {
+				return true, nil, err
+			}
+			msg.Release()
+			return true, nil, nil
+		case phaseTreeGather: // tree: gather the zero-byte arrival signal to rank 0
+			vrank := c.rank
+			for cs.mask < n {
+				if vrank&cs.mask != 0 {
+					// Report to the parent; the gather ends here.
+					if !cs.hop.inFlight() {
+						c.hopSend(&cs.hop, vrank-cs.mask, tagBarrierIn, 0, nil)
+					}
+					hd, park, _, err := c.hopStep(&cs.hop)
+					if !hd {
+						return false, park, nil
+					}
+					if err != nil {
+						return true, nil, err
+					}
+					break
+				}
+				if child := vrank | cs.mask; child < n {
+					if !cs.hop.inFlight() {
+						c.hopRecv(&cs.hop, child, tagBarrierIn)
+					}
+					hd, park, msg, err := c.hopStep(&cs.hop)
+					if !hd {
+						return false, park, nil
+					}
+					if err != nil {
+						return true, nil, err
+					}
+					msg.Release()
+				}
+				cs.mask <<= 1
+			}
+			// Release wave: a zero-byte tree bcast from rank 0 without a
+			// fresh entry charge.
+			cs.root = 0
+			cs.tag = tagBarrierOut
+			cs.size = 0
+			cs.data = nil
+			cs.mask = 0
+			cs.phase = phaseTreeBcastRecv
+		case phaseTreeBcastRecv, phaseTreeBcastSend:
+			return c.stepTreeBcast(cs)
+		default:
+			panic(fmt.Sprintf("mpi: barrier state machine in phase %d", cs.phase))
 		}
-		req := c.irecvTag(r, tagAlltoall)
-		recvs = append(recvs, req)
-		reqs = append(reqs, req)
 	}
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
+}
+
+// stepBcast broadcasts cs.data (cs.size bytes, tag cs.tag) from cs.root:
+// linear (the root sends to every rank in order) or along a binomial
+// tree. The result lands in cs.data.
+func (c *Comm) stepBcast(cs *CollectiveState) (done bool, park any, err error) {
+	n := c.Size()
+	for {
+		switch cs.phase {
+		case 0:
+			if err := c.checkRevoked("bcast"); err != nil {
+				return true, nil, err
+			}
+			c.env.chargeCall()
+			if n == 1 {
+				return true, nil, nil
+			}
+			if c.env.w.cfg.Collectives == Tree {
+				cs.phase = phaseTreeBcastRecv
+			} else if c.rank == cs.root {
+				cs.r = 0
+				cs.phase = 1
+			} else {
+				cs.phase = 2
+			}
+		case 1: // linear root: send to everyone in rank order
+			for cs.r < n {
+				if cs.r == cs.root {
+					cs.r++
+					continue
+				}
+				if !cs.hop.inFlight() {
+					c.hopSend(&cs.hop, cs.r, cs.tag, cs.size, cs.data)
+				}
+				hd, park, _, err := c.hopStep(&cs.hop)
+				if !hd {
+					return false, park, nil
+				}
+				if err != nil {
+					return true, nil, err
+				}
+				cs.r++
+			}
+			return true, nil, nil
+		case 2: // linear non-root: receive from the root
+			if !cs.hop.inFlight() {
+				c.hopRecv(&cs.hop, cs.root, cs.tag)
+			}
+			hd, park, msg, err := c.hopStep(&cs.hop)
+			if !hd {
+				return false, park, nil
+			}
+			if err != nil {
+				return true, nil, err
+			}
+			cs.data = detachData(msg)
+			return true, nil, nil
+		case phaseTreeBcastRecv, phaseTreeBcastSend:
+			return c.stepTreeBcast(cs)
+		default:
+			panic(fmt.Sprintf("mpi: bcast state machine in phase %d", cs.phase))
 		}
-		reqs = append(reqs, c.isendTag(r, tagAlltoall, len(parts[r]), parts[r]))
 	}
-	if err := c.env.wait(reqs...); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), parts[c.rank]...)
-	i := 0
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
+}
+
+// stepTreeBcast broadcasts along a binomial tree rooted at cs.root (the
+// standard MPICH-style algorithm): phase phaseTreeBcastRecv walks the
+// mask to this rank's parent bit and receives (at most one hop), phase
+// phaseTreeBcastSend forwards to the children. The result lands in
+// cs.data.
+func (c *Comm) stepTreeBcast(cs *CollectiveState) (done bool, park any, err error) {
+	n := c.Size()
+	vrank := (c.rank - cs.root + n) % n
+	for {
+		switch cs.phase {
+		case phaseTreeBcastRecv:
+			if cs.mask == 0 {
+				cs.mask = 1
+			}
+			for cs.mask < n && vrank&cs.mask == 0 {
+				cs.mask <<= 1
+			}
+			if cs.mask < n {
+				if !cs.hop.inFlight() {
+					c.hopRecv(&cs.hop, (vrank-cs.mask+cs.root)%n, cs.tag)
+				}
+				hd, park, msg, err := c.hopStep(&cs.hop)
+				if !hd {
+					return false, park, nil
+				}
+				if err != nil {
+					return true, nil, err
+				}
+				cs.data = detachData(msg)
+			}
+			cs.mask >>= 1
+			cs.phase = phaseTreeBcastSend
+		case phaseTreeBcastSend:
+			for cs.mask > 0 {
+				if vrank+cs.mask < n {
+					if !cs.hop.inFlight() {
+						c.hopSend(&cs.hop, (vrank+cs.mask+cs.root)%n, cs.tag, cs.size, cs.data)
+					}
+					hd, park, _, err := c.hopStep(&cs.hop)
+					if !hd {
+						return false, park, nil
+					}
+					if err != nil {
+						return true, nil, err
+					}
+				}
+				cs.mask >>= 1
+			}
+			return true, nil, nil
+		default:
+			panic(fmt.Sprintf("mpi: tree bcast state machine in phase %d", cs.phase))
 		}
-		out[r] = detachData(recvs[i].msg)
-		recvs[i].msg = nil
-		i++
 	}
-	// None of the requests escaped; recycle them all.
+}
+
+// stepReduce folds cs.contrib at cs.root with cs.op; the result lands in
+// cs.acc (root only). The linear algorithm folds contributions in rank
+// order, which keeps the result deterministic even for non-associative
+// floating-point ops; the binomial tree folds in a different order, so
+// its results may differ in the last bits — the usual MPI caveat. Each
+// hop decodes into the per-process scratch and releases its message.
+func (c *Comm) stepReduce(cs *CollectiveState) (done bool, park any, err error) {
+	n := c.Size()
+	for {
+		switch cs.phase {
+		case 0:
+			if err := c.checkRevoked("reduce"); err != nil {
+				return true, nil, err
+			}
+			c.env.chargeCall()
+			if n == 1 {
+				cs.acc = append([]float64(nil), cs.contrib...)
+				return true, nil, nil
+			}
+			if c.env.w.cfg.Collectives == Tree {
+				cs.phase = phaseTreeReduce
+			} else if c.rank != cs.root {
+				cs.phase = 1
+			} else {
+				cs.acc = append([]float64(nil), cs.contrib...)
+				cs.r = 0
+				cs.phase = 2
+			}
+		case 1: // linear non-root: ship the encoded contribution
+			if !cs.hop.inFlight() {
+				c.hopSendOwned(&cs.hop, cs.root, tagReduce, 8*len(cs.contrib), encodeF64sPool(c.env.ps.dp, cs.contrib))
+			}
+			hd, park, _, err := c.hopStep(&cs.hop)
+			if !hd {
+				return false, park, nil
+			}
+			return true, nil, err
+		case 2: // linear root: fold contributions in rank order
+			for cs.r < n {
+				if cs.r == cs.root {
+					cs.r++
+					continue
+				}
+				if !cs.hop.inFlight() {
+					c.hopRecv(&cs.hop, cs.r, tagReduce)
+				}
+				hd, park, msg, err := c.hopStep(&cs.hop)
+				if !hd {
+					return false, park, nil
+				}
+				if err != nil {
+					return true, nil, err
+				}
+				vals := c.env.ps.scratchF64(len(cs.contrib))
+				if err := decodeF64sInto(vals, msg.Data); err != nil {
+					return true, nil, err
+				}
+				cs.op(cs.acc, vals)
+				msg.Release()
+				cs.r++
+			}
+			return true, nil, nil
+		case phaseTreeReduce: // tree: fold along a binomial tree rooted at cs.root
+			vrank := (c.rank - cs.root + n) % n
+			if cs.mask == 0 {
+				cs.mask = 1
+				cs.acc = append([]float64(nil), cs.contrib...)
+			}
+			for cs.mask < n {
+				if vrank&cs.mask != 0 {
+					if !cs.hop.inFlight() {
+						c.hopSendOwned(&cs.hop, (vrank-cs.mask+cs.root)%n, tagReduce, 8*len(cs.acc), encodeF64sPool(c.env.ps.dp, cs.acc))
+					}
+					hd, park, _, err := c.hopStep(&cs.hop)
+					if !hd {
+						return false, park, nil
+					}
+					cs.acc = nil // non-roots return nil
+					return true, nil, err
+				}
+				if child := vrank | cs.mask; child < n {
+					if !cs.hop.inFlight() {
+						c.hopRecv(&cs.hop, (child+cs.root)%n, tagReduce)
+					}
+					hd, park, msg, err := c.hopStep(&cs.hop)
+					if !hd {
+						return false, park, nil
+					}
+					if err != nil {
+						return true, nil, err
+					}
+					vals := c.env.ps.scratchF64(len(cs.acc))
+					if err := decodeF64sInto(vals, msg.Data); err != nil {
+						return true, nil, err
+					}
+					cs.op(cs.acc, vals)
+					msg.Release()
+				}
+				cs.mask <<= 1
+			}
+			return true, nil, nil
+		default:
+			panic(fmt.Sprintf("mpi: reduce state machine in phase %d", cs.phase))
+		}
+	}
+}
+
+// stepAllreduce is a reduce to rank 0 (sub 0) followed by a broadcast of
+// the encoded result (sub 1). The result lands in cs.acc on every rank.
+func (c *Comm) stepAllreduce(cs *CollectiveState) (done bool, park any, err error) {
+	if cs.sub == 0 {
+		cs.root = 0
+		done, park, err := c.stepReduce(cs)
+		if !done {
+			return false, park, nil
+		}
+		if err != nil {
+			return true, nil, err
+		}
+		cs.sub = 1
+		cs.phase = 0
+		cs.r = 0
+		cs.mask = 0
+		cs.tag = tagBcast
+		cs.size = 8 * len(cs.contrib)
+		if c.rank == 0 {
+			cs.data = encodeF64sPool(c.env.ps.dp, cs.acc)
+		} else {
+			cs.data = nil
+		}
+	}
+	done, park, err = c.stepBcast(cs)
+	if !done {
+		return false, park, nil
+	}
 	dp := c.env.ps.dp
-	for _, req := range reqs {
-		dp.putReq(req)
+	buf := cs.data
+	cs.data = nil
+	if err != nil {
+		return true, nil, err
 	}
-	return out, nil
+	if c.rank == 0 {
+		// The root already holds the reduction, and decode(encode(x)) is
+		// bit-identical for float64: skip the round-trip and release the
+		// broadcast buffer (bcast copied it per send).
+		dp.putBuf(buf)
+		return true, nil, nil
+	}
+	out, err := decodeF64s(buf, len(cs.contrib))
+	dp.putBuf(buf)
+	cs.acc = out
+	return true, nil, err
 }
 
-// --- Binomial-tree algorithms (collective-algorithm ablation) -----------
-
-// treeBcast broadcasts along a binomial tree rooted at root (the standard
-// MPICH-style algorithm).
-func (c *Comm) treeBcast(root int, data []byte, size, tag int) ([]byte, error) {
+// stepGather collects cs.data at cs.root in rank order (tag cs.tag); the
+// per-rank result lands in cs.out (root only).
+func (c *Comm) stepGather(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
-	vrank := (c.rank - root + n) % n
-	mask := 1
-	for ; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := (vrank - mask + root) % n
-			msg, err := c.recvTag(parent, tag)
-			if err != nil {
-				return nil, err
+	for {
+		switch cs.phase {
+		case 0:
+			if err := c.checkRevoked("gather"); err != nil {
+				return true, nil, err
 			}
-			data = detachData(msg)
-			break
+			c.env.chargeCall()
+			if c.rank != cs.root {
+				cs.phase = 1
+			} else {
+				cs.out = make([][]byte, n)
+				cs.out[cs.root] = append([]byte(nil), cs.data...)
+				cs.r = 0
+				cs.phase = 2
+			}
+		case 1: // non-root: ship this rank's data
+			if !cs.hop.inFlight() {
+				c.hopSend(&cs.hop, cs.root, cs.tag, len(cs.data), cs.data)
+			}
+			hd, park, _, err := c.hopStep(&cs.hop)
+			if !hd {
+				return false, park, nil
+			}
+			return true, nil, err
+		case 2: // root: collect in rank order
+			for cs.r < n {
+				if cs.r == cs.root {
+					cs.r++
+					continue
+				}
+				if !cs.hop.inFlight() {
+					c.hopRecv(&cs.hop, cs.r, cs.tag)
+				}
+				hd, park, msg, err := c.hopStep(&cs.hop)
+				if !hd {
+					return false, park, nil
+				}
+				if err != nil {
+					return true, nil, err
+				}
+				cs.out[cs.r] = detachData(msg)
+				cs.r++
+			}
+			return true, nil, nil
+		default:
+			panic(fmt.Sprintf("mpi: gather state machine in phase %d", cs.phase))
 		}
 	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < n {
-			child := (vrank + mask + root) % n
-			if err := c.sendTag(child, tag, size, data); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return data, nil
 }
 
-// treeBcastSignal broadcasts a zero-byte release along a binomial tree
-// rooted at rank 0.
-func (c *Comm) treeBcastSignal(tag int) error {
-	_, err := c.treeBcast(0, nil, 0, tag)
-	return err
-}
-
-// treeGatherSignal gathers a zero-byte arrival signal to rank 0 along a
-// binomial tree (the reduce direction of a tree barrier).
-func (c *Comm) treeGatherSignal(tag int) error {
+// stepScatter sends cs.parts[i] from cs.root to rank i; this rank's part
+// lands in cs.data.
+func (c *Comm) stepScatter(cs *CollectiveState) (done bool, park any, err error) {
 	n := c.Size()
-	vrank := c.rank
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			return c.sendTag(vrank-mask, tag, 0, nil)
-		}
-		if child := vrank | mask; child < n {
-			m, err := c.recvTag(child, tag)
-			if err != nil {
-				return err
+	for {
+		switch cs.phase {
+		case 0:
+			if err := c.checkRevoked("scatter"); err != nil {
+				return true, nil, err
 			}
-			m.Release()
+			c.env.chargeCall()
+			if c.rank == cs.root {
+				if len(cs.parts) != n {
+					return true, nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", n, len(cs.parts))
+				}
+				cs.r = 0
+				cs.phase = 1
+			} else {
+				cs.phase = 2
+			}
+		case 1: // root: send each part in rank order
+			for cs.r < n {
+				if cs.r == cs.root {
+					cs.r++
+					continue
+				}
+				if !cs.hop.inFlight() {
+					c.hopSend(&cs.hop, cs.r, tagScatter, len(cs.parts[cs.r]), cs.parts[cs.r])
+				}
+				hd, park, _, err := c.hopStep(&cs.hop)
+				if !hd {
+					return false, park, nil
+				}
+				if err != nil {
+					return true, nil, err
+				}
+				cs.r++
+			}
+			cs.data = append([]byte(nil), cs.parts[cs.root]...)
+			return true, nil, nil
+		case 2: // non-root: receive this rank's part
+			if !cs.hop.inFlight() {
+				c.hopRecv(&cs.hop, cs.root, tagScatter)
+			}
+			hd, park, msg, err := c.hopStep(&cs.hop)
+			if !hd {
+				return false, park, nil
+			}
+			if err != nil {
+				return true, nil, err
+			}
+			cs.data = detachData(msg)
+			return true, nil, nil
+		default:
+			panic(fmt.Sprintf("mpi: scatter state machine in phase %d", cs.phase))
 		}
 	}
-	return nil
+}
+
+// stepAllgather is a gather to rank 0 (sub 0) followed by a broadcast of
+// the framed result (sub 1). The per-rank result lands in cs.out on every
+// rank.
+func (c *Comm) stepAllgather(cs *CollectiveState) (done bool, park any, err error) {
+	dp := c.env.ps.dp
+	if cs.sub == 0 {
+		cs.root = 0
+		cs.tag = tagAllgather
+		done, park, err := c.stepGather(cs)
+		if !done {
+			return false, park, nil
+		}
+		if err != nil {
+			return true, nil, err
+		}
+		cs.sub = 1
+		cs.phase = 0
+		cs.r = 0
+		cs.mask = 0
+		if c.rank == 0 {
+			framed := framePool(dp, cs.out)
+			// The gathered per-rank buffers are folded into the frame now;
+			// release the pooled ones (rank 0's own part is a fresh copy).
+			for r, p := range cs.out {
+				if r != c.rank {
+					dp.putBuf(p)
+				}
+			}
+			cs.data = framed
+			cs.size = len(framed)
+		} else {
+			cs.data = nil
+			cs.size = 0
+		}
+		cs.out = nil
+	}
+	done, park, err = c.stepBcast(cs)
+	if !done {
+		return false, park, nil
+	}
+	framed := cs.data
+	cs.data = nil
+	if err != nil {
+		return true, nil, err
+	}
+	out, err := unframe(framed)
+	dp.putBuf(framed)
+	cs.out = out
+	return true, nil, err
+}
+
+// stepAlltoall posts every receive before any send (so the exchange
+// cannot deadlock under the rendezvous protocol), waits on all of them at
+// once, then detaches the per-rank payloads. The result lands in cs.out.
+func (c *Comm) stepAlltoall(cs *CollectiveState) (done bool, park any, err error) {
+	n := c.Size()
+	switch cs.phase {
+	case 0:
+		if err := c.checkRevoked("alltoall"); err != nil {
+			return true, nil, err
+		}
+		c.env.chargeCall()
+		if len(cs.parts) != n {
+			return true, nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", n, len(cs.parts))
+		}
+		for r := 0; r < n; r++ {
+			if r == c.rank {
+				continue
+			}
+			req := c.irecvTag(r, tagAlltoall)
+			cs.recvs = append(cs.recvs, req)
+			cs.reqs = append(cs.reqs, req)
+		}
+		for r := 0; r < n; r++ {
+			if r == c.rank {
+				continue
+			}
+			cs.reqs = append(cs.reqs, c.isendTag(r, tagAlltoall, len(cs.parts[r]), cs.parts[r]))
+		}
+		cs.ws.Begin(cs.reqs...)
+		cs.phase = 1
+		fallthrough
+	case 1:
+		done, park, err = c.env.waitStep(&cs.ws)
+		if !done {
+			return false, park, nil
+		}
+		if err != nil {
+			// Error paths leave the requests to the garbage collector.
+			return true, nil, err
+		}
+		out := make([][]byte, n)
+		out[c.rank] = append([]byte(nil), cs.parts[c.rank]...)
+		i := 0
+		for r := 0; r < n; r++ {
+			if r == c.rank {
+				continue
+			}
+			out[r] = detachData(cs.recvs[i].msg)
+			cs.recvs[i].msg = nil
+			i++
+		}
+		// None of the requests escaped; recycle them all and drop the
+		// references so the idle state does not pin the recycled requests.
+		dp := c.env.ps.dp
+		for i, req := range cs.reqs {
+			dp.putReq(req)
+			cs.reqs[i] = nil
+		}
+		cs.reqs = cs.reqs[:0]
+		for i := range cs.recvs {
+			cs.recvs[i] = nil
+		}
+		cs.recvs = cs.recvs[:0]
+		cs.out = out
+		return true, nil, nil
+	default:
+		panic(fmt.Sprintf("mpi: alltoall state machine in phase %d", cs.phase))
+	}
 }
 
 // encodeF64s encodes floats little-endian.

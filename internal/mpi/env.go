@@ -325,10 +325,13 @@ type Env struct {
 	finalized  bool
 	nextCommID int
 	// prog marks a process executing as a program VP (World.RunProgs):
-	// blocking calls panic with a typed ClosureOnlyError instead of
-	// reaching core.Ctx.Block, directing the caller at the step-based
-	// states (WaitState, RecvState, CollectiveState, SleepState, ...).
+	// Drive panics with a typed ClosureOnlyError instead of blocking,
+	// directing the caller at the step states (WaitState, RecvState,
+	// CollectiveState, SleepState, ...).
 	prog bool
+	// blk holds a closure process's reusable blocking-call states (nil
+	// until its first blocking call; see blocking).
+	blk *blockStates
 }
 
 // Rank returns the process's world rank.
@@ -353,14 +356,12 @@ func (e *Env) Elapse(d vclock.Duration) { e.ctx.Elapse(d) }
 func (e *Env) Compute(ops float64) { e.ctx.Elapse(e.w.cfg.Proc.ComputeTime(ops)) }
 
 // Sleep advances the virtual clock by d while yielding to the simulator
-// (interruptible by failures and aborts, unlike Elapse). Programs use
-// SleepStep instead: a positive-duration Sleep blocks, which a program
-// VP cannot do.
+// (interruptible by failures and aborts, unlike Elapse): SleepStep driven
+// to completion. A positive-duration Sleep blocks, which a program VP
+// cannot do.
 func (e *Env) Sleep(d vclock.Duration) {
-	if e.prog && d > 0 {
-		panic(&ClosureOnlyError{Op: "sleep", Rank: e.Rank()})
-	}
-	e.ctx.Sleep(d)
+	var ss SleepState
+	e.Drive(func(any) (bool, any) { return e.SleepStep(&ss, d) })
 }
 
 // Finalize marks a clean MPI exit. Applications that return without

@@ -147,11 +147,11 @@ type Request struct {
 	// order) alongside the id-keyed map.
 	nNext, nPrev *Request
 
-	// waiter points at the program-mode WaitState tracking this request,
-	// so completion can decrement its pending count in O(1) instead of
-	// the wait re-scanning the request set on every wake; nil for
-	// requests not under a program wait (closure mode, free-standing
-	// Isends). Cleared at completion and by putReq's zeroing.
+	// waiter points at the parked WaitState tracking this request, so
+	// completion can decrement its pending count in O(1) instead of the
+	// wait re-scanning the request set on every wake; nil for requests
+	// no wait has parked on. Cleared at completion and by putReq's
+	// zeroing.
 	waiter *WaitState
 }
 

@@ -776,66 +776,6 @@ func (ps *procState) BlockReason() string {
 	return "MPI: blocked"
 }
 
-// wait blocks until every request completes, advancing the clock to the
-// latest completion time. It returns the first error among the requests in
-// request order. Internal: public wrappers apply the error handler.
-func (e *Env) wait(reqs ...*Request) error {
-	e.chargeCall()
-	for {
-		allDone := true
-		var latest vclock.Time
-		for _, r := range reqs {
-			if !r.done {
-				allDone = false
-				break
-			}
-			if r.completeAt > latest {
-				latest = r.completeAt
-			}
-		}
-		if allDone {
-			e.ctx.AdvanceTo(latest)
-			if e.w.cfg.Tracer != nil {
-				for _, r := range reqs {
-					ev := trace.Event{At: r.completeAt, Kind: trace.KindComplete, Rank: int32(e.Rank()), Peer: int32(r.peer()), Size: int64(r.size)}
-					if r.kind == sendReq {
-						ev.Flags |= trace.FlagSendOp
-					} else if r.msg != nil {
-						ev.Size = int64(r.msg.Size)
-					}
-					if r.err != nil {
-						ev.Flags |= trace.FlagError
-						ev.Detail = r.opName() + " err=" + r.err.Error()
-					}
-					e.w.cfg.Tracer.Record(ev)
-				}
-			}
-			for _, r := range reqs {
-				if r.err != nil {
-					return r.err
-				}
-			}
-			return nil
-		}
-		// Before blocking, arm failure-detection timeouts for pending
-		// requests that involve already-known-failed peers; requests
-		// whose peer fails later are armed by the notification handler.
-		for _, r := range reqs {
-			if !r.done {
-				e.ps.armTimeout(e.w, r, vpEmitter{e.ctx})
-			}
-		}
-		if e.prog {
-			// A program VP has no goroutine to block; the step-based
-			// WaitState is the program-mode form of this wait.
-			panic(&ClosureOnlyError{Op: waitReason(reqs), Rank: e.Rank()})
-		}
-		e.ps.waitingOn = reqs
-		e.ctx.Block(e.ps)
-		e.ps.waitingOn = nil
-	}
-}
-
 // armTimeout schedules the failure-detection timeout of a pending request
 // whose peer is known to have failed. The operation completes in error at
 // max(post time, time of failure) + the network tier's timeout — the
