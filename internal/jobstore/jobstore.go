@@ -38,12 +38,14 @@ type Mem struct {
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{m: make(map[string][]byte)} }
 
-// Get implements Store.
+// Get implements Store. Every caller shares the stored bytes, so the
+// slice is clipped to its length: an append by one reader copies instead
+// of writing into spare capacity under another.
 func (s *Mem) Get(key string) ([]byte, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	data, ok := s.m[key]
-	return data, ok, nil
+	return data[:len(data):len(data)], ok, nil
 }
 
 // Put implements Store.

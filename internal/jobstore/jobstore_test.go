@@ -94,3 +94,29 @@ func TestDirSurvivesReopen(t *testing.T) {
 		t.Fatalf("after reopen Get = %q ok=%v err=%v", got, ok, err)
 	}
 }
+
+// TestStoreGetIsNotWritableThroughAppend: two readers appending to the
+// bytes Get returned must not write into each other's results.
+func TestStoreGetIsNotWritableThroughAppend(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			key := "ab12"
+			if err := s.Put(key, []byte("result")); err != nil {
+				t.Fatal(err)
+			}
+			first, _, err := s.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, _, err := s.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := append(first, '!')
+			b := append(second, '?')
+			if string(a) != "result!" || string(b) != "result?" {
+				t.Fatalf("appends through Get interfere: %q, %q", a, b)
+			}
+		})
+	}
+}

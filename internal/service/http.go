@@ -143,9 +143,11 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Trailing newline matches xsim-run -campaign output so the two
-	// transports are byte-identical end to end.
+	// transports are byte-identical end to end. It is written on its own:
+	// data is the store's copy, shared by every concurrent reader.
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(data, '\n'))
+	w.Write(data)
+	w.Write([]byte{'\n'})
 }
 
 // handleEvents streams a campaign's progress as chunked NDJSON

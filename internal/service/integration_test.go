@@ -404,3 +404,49 @@ func readAll(resp *http.Response) ([]byte, error) {
 	_, err := buf.ReadFrom(resp.Body)
 	return buf.Bytes(), err
 }
+
+// TestServerConcurrentResultReads serves one stored result to many
+// concurrent GET /result requests. The store hands every reader the same
+// bytes, so the handler must never write into them; run under -race.
+func TestServerConcurrentResultReads(t *testing.T) {
+	_, srv := startServer(t, Config{Workers: 1})
+	status, code := submit(t, srv, "", table2Spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", code)
+	}
+	streamUntilDone(t, srv, status.ID)
+
+	const readers = 8
+	bodies := make([][]byte, readers)
+	errs := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		i := i
+		go func() {
+			resp, err := http.Get(srv.URL + "/v1/campaigns/" + status.ID + "/result")
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("reader %d: status %d", i, resp.StatusCode)
+				return
+			}
+			bodies[i], err = readAll(resp)
+			errs <- err
+		}()
+	}
+	for i := 0; i < readers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, b := range bodies {
+		if len(b) == 0 || b[len(b)-1] != '\n' || bytes.Count(b, []byte("\n")) != 1 {
+			t.Fatalf("reader %d: body is not one newline-terminated document: %q", i, b)
+		}
+		if !bytes.Equal(b, bodies[0]) {
+			t.Fatalf("reader %d got different bytes than reader 0", i)
+		}
+	}
+}
