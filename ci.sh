@@ -14,9 +14,13 @@
 #                     enabled; payload digests double as a check that
 #                     data-plane pooling never leaks one message's bytes
 #                     into another)
-#   6b. program-mode equivalence (closure vs program digests under -race:
-#                     500 random workloads both ways, the heat/MPI twin
-#                     tests, and the Table II program-mode campaign)
+#   6b. golden pins + driver equivalence (both drivers — closure Block
+#                     and program Step — run the same state machines; the
+#                     checked-in goldens are the reference: 500 per-seed
+#                     Outcome digests in closure and program mode at
+#                     Workers 1/2/4 and small Table II / I/O-ablation rows
+#                     in both ProgMode values, beside the closure-vs-
+#                     program twin tests, all under -race)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
@@ -73,11 +77,17 @@ go test -race ./...
 echo "== differential harness (500 seeds, Validate on, -race)"
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialSeqVsParallel$' ./internal/mpitest/
 
-echo "== program-mode equivalence (closure vs prog digests, -race)"
-# Program mode must be observationally identical to closure mode: the
-# differential harness runs every random workload both ways (Workers in
-# {1,2,4}) and compares digests, and the Table II campaign smoke pins
-# row-identical results in program mode under the race detector.
+echo "== golden pins and driver equivalence (-race)"
+# Every blocking operation is written once, as a step state machine; the
+# closure driver (Env.Drive blocking on core.Ctx.Block) and the program
+# driver (the scheduler calling Step) run the same machines. The goldens
+# checked in before that refactor are the reference: every random
+# workload's Outcome digest (closure and program mode, Workers in
+# {1,2,4}) and the small Table II / checkpoint-I/O rows in both ProgMode
+# values must match them byte for byte. The twin tests still compare the
+# two drivers directly.
+XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestGoldenOutcomeDigests$' ./internal/mpitest/
+go test -race -count=1 -run '^(TestGoldenTables|TestGoldenDeterminism)$' .
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
 go test -race -count=1 -run '^(TestProgHeatMatchesClosure|TestProgHeatWithFailureMatchesClosure|TestProgStepOpsMatchClosure|TestProgCollectiveWithFailureMatchesClosure)$' ./internal/mpi/
 go test -race -count=1 -run '^(TestHeatProgMatchesClosure|TestHeatProgRestartMatchesClosure)$' ./internal/heat/
