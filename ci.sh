@@ -29,11 +29,15 @@
 #   8b. BenchmarkPingPong allocation gate (the MPI data plane recycles
 #                     envelopes/requests/payload buffers; a regression that
 #                     reintroduces per-message allocation fails here)
-#   8c. bytes-per-VP budget gate (a 256k-rank program-mode world must
+#   8c. steady-state allocation gate (the free lists live for the whole
+#                     run: doubling the steps of a 4,096-rank program-mode
+#                     halo exchange must add under one allocation per
+#                     rank-step)
+#   8d. bytes-per-VP budget gate (a 256k-rank program-mode world must
 #                     stay within 1 KiB of resident memory per virtual
 #                     process after one exchange step — the paper's
 #                     oversubscription scaling dimension)
-#   8d. checkpointing-workload memory gate (the full Table II loop in
+#   8e. checkpointing-workload memory gate (the full Table II loop in
 #                     program mode at 256k ranks must finish within
 #                     1.25 KiB of live memory per virtual process)
 #   9. campaign-parallelism smoke (a pooled campaign under -race must
@@ -137,6 +141,14 @@ echo "$bench" | awk '
 	}
 	END { if (seen != 2) { print "FAIL: BenchmarkPingPong sub-benchmarks did not run" > "/dev/stderr"; exit 1 } }
 '
+
+echo "== steady-state allocation gate (program-mode halo, 4096 ranks)"
+# The first halo burst's requests, envelopes, messages and events stay on
+# the run-lifetime free lists and serve every later step. The test runs
+# 10 and 20 exchange steps and fails if the extra steps cost one
+# allocation per rank-step or more; counts at one worker are
+# deterministic.
+go test -count=1 -v -run '^TestHaloSteadyStateAllocs$' ./internal/mpi/
 
 echo "== bytes-per-VP budget gate (program mode, 256k ranks)"
 # PR 6 carried the residual cost of one virtual process from ~2.3 KB to

@@ -324,12 +324,15 @@ func (e *Engine) run() (*Result, error) {
 	}
 	// Tear down surviving VPs, then retire the idle carrier goroutines so
 	// nothing leaks. Both are synchronous: when run returns, every VP is
-	// dead and every carrier has been handed its shutdown token.
+	// dead and every carrier has been handed its shutdown token. The event
+	// free lists go last: a finished engine keeps none of its pooled
+	// events.
 	for _, p := range e.parts {
 		for r := p.lo; r < p.hi; r++ {
 			p.kill(&e.vps[r])
 		}
 		p.drainCarriers()
+		p.free.Drop()
 	}
 
 	var firstPanic string

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xsim/internal/check"
+	"xsim/internal/freelist"
 	"xsim/internal/vclock"
 )
 
@@ -35,9 +36,12 @@ type partition struct {
 
 	// free is the partition's event free list: dispatched events are
 	// recycled here and handed back out by Emit, so the steady-state
-	// event path allocates nothing. Events that cross partitions simply
-	// migrate from the emitter's pool to the dispatcher's.
-	free []*Event
+	// event path allocates nothing. It lives for the run (dropped when
+	// run returns), refills in slabs, and is bounded by the partition's
+	// own in-flight high-water rather than a constant, so a halo burst's
+	// events are reused by every later burst. Events that cross
+	// partitions migrate from the emitter's pool to the dispatcher's.
+	free freelist.List[Event]
 
 	// sctx is the partition's reusable handler context; it is passed to
 	// every handler invocation, valid only for the duration of the call.
@@ -110,35 +114,23 @@ func (p *partition) nextSeq() uint64 {
 	return p.seq
 }
 
-// newEvent returns a zeroed event from the partition's free list, or a
-// fresh allocation if the list is empty. Must only be called from the
-// partition's own execution context (its scheduler or its running VP).
+// newEvent returns a zeroed event from the partition's free list, which
+// allocates a slab of events when it is empty. Must only be called from
+// the partition's own execution context (its scheduler or its running
+// VP).
 func (p *partition) newEvent() *Event {
-	if n := len(p.free) - 1; n >= 0 {
-		ev := p.free[n]
-		p.free[n] = nil
-		p.free = p.free[:n]
+	ev, fresh := p.free.Get()
+	if fresh {
+		p.poolMisses++
+	} else {
 		p.poolHits++
-		return ev
 	}
-	p.poolMisses++
-	return new(Event)
+	return ev
 }
-
-// maxFreeEvents bounds the event free list so one burst (every rank
-// emitting at a window edge) does not pin its peak working set forever;
-// the cap comfortably covers steady-state traffic, and surplus recycles
-// fall to the garbage collector.
-const maxFreeEvents = 4096
 
 // recycle zeroes a dispatched event and returns it to the free list. The
 // event must no longer be referenced by any queue or handler.
-func (p *partition) recycle(ev *Event) {
-	*ev = Event{}
-	if len(p.free) < maxFreeEvents {
-		p.free = append(p.free, ev)
-	}
-}
+func (p *partition) recycle(ev *Event) { p.free.Put(ev) }
 
 // localNext returns the earliest pending work item's virtual time, or
 // vclock.Never if the partition is idle. Called only between windows (or

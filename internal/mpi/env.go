@@ -180,6 +180,7 @@ func (w *World) Config() WorldConfig { return w.cfg }
 // Env.Finalize is treated as a process failure, mirroring the paper's
 // fault model (returning from main or calling exit without MPI_Finalize).
 func (w *World) Run(app func(*Env)) (*core.Result, error) {
+	defer w.dropPools()
 	return w.eng.Run(func(c *core.Ctx) {
 		env := newProcEnv(w, c)
 		app(env)
@@ -188,6 +189,15 @@ func (w *World) Run(app func(*Env)) (*core.Result, error) {
 			c.FailNow()
 		}
 	})
+}
+
+// dropPools releases every partition's data-plane free lists when a run
+// returns: a finished world holds no pooled memory, only the counters
+// World.Metrics reports.
+func (w *World) dropPools() {
+	for _, p := range w.pools {
+		p.drop()
+	}
 }
 
 // procBundle packs one process's MPI state — procState, Env, and the world
@@ -228,6 +238,12 @@ func (w *World) onDeath(c *core.Ctx, reason core.DeathReason) {
 	if ps, ok := c.Data().(*procState); ok {
 		ps.drainUnexpected()
 		ps.releaseIndexes()
+		if ps.env.prog && reason != core.DeathCompleted {
+			// A program unwound mid-call (a failure or abort activating
+			// on a clock update, a ClosureOnlyError) may have left the
+			// partition's shared blocking states armed.
+			ps.dp.blk = blockStates{}
+		}
 	}
 	if reason != core.DeathFailed {
 		return

@@ -58,7 +58,7 @@ func (w *World) handleEnvelope(s *core.SchedCtx, ev *core.Event) {
 		}
 	}
 	if req := ps.takePosted(env); req != nil {
-		matchEnvelope(w, ps, req, env, schedEmitter{s, env.dst})
+		matchEnvelope(w, ps, req, env, schedEmitter(s, env.dst))
 		ps.releaseEnvelope(env)
 		if w.cfg.Validate {
 			ps.checkIndexes("envelope-match")
@@ -220,7 +220,7 @@ func (w *World) handleFailNotify(s *core.SchedCtx, ev *core.Event) {
 		// so walking it directly is deterministic and allocation-free.
 		for req := ps.pendHead; req != nil; req = req.nNext {
 			if req.involves(fn.rank) {
-				ps.armTimeout(w, req, schedEmitter{s, rank})
+				ps.armTimeout(w, req, schedEmitter(s, rank))
 			}
 		}
 		// A blocked probe on the failed rank (or a wildcard probe) wakes

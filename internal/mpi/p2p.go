@@ -498,9 +498,11 @@ func (ps *procState) unlinkPending(r *Request) {
 	r.nNext, r.nPrev = nil, nil
 }
 
-// emitter abstracts the two contexts that can emit events and read the
-// current virtual time: a running VP (its own Ctx) and an event handler
-// (SchedCtx). Message matching runs in both.
+// emitter is one of the two contexts that can emit events and read the
+// current virtual time: a running VP (its own Ctx) or an event handler
+// (SchedCtx) acting for a local rank. Message matching runs in both. It
+// is a plain value, not an interface, so a handler matching an envelope
+// boxes nothing; the context is chosen by one branch.
 //
 // Pooled-event discipline: emit takes the core.Event by value and the
 // engine copies it into a pooled event, so the MPI layer never holds a
@@ -508,28 +510,36 @@ func (ps *procState) unlinkPending(r *Request) {
 // handler invocation — envelopes, CTS records, notifications — travels as
 // a Payload; the engine never recycles payloads, but the MPI layer
 // recycles its own pooled payload objects at their consumption points.
-type emitter interface {
-	emit(ev core.Event)
-	now() vclock.Time
-}
-
-// vpEmitter adapts a VP context.
-type vpEmitter struct{ ctx *core.Ctx }
-
-func (v vpEmitter) emit(ev core.Event) { v.ctx.Emit(ev) }
-func (v vpEmitter) now() vclock.Time   { return v.ctx.NowQuiet() }
-
-// schedEmitter adapts a handler context. rank is the local rank the
-// handler is acting for; the engine derives the emitted event's
-// deterministic ordering key from it (see core.SchedCtx.EmitFor), keeping
-// same-virtual-time tie-breaks independent of the partition layout.
-type schedEmitter struct {
-	s    *core.SchedCtx
+type emitter struct {
+	ctx *core.Ctx
+	s   *core.SchedCtx
+	// rank is the local rank the handler is acting for; the engine
+	// derives the emitted event's deterministic ordering key from it
+	// (see core.SchedCtx.EmitFor), keeping same-virtual-time tie-breaks
+	// independent of the partition layout.
 	rank int
 }
 
-func (h schedEmitter) emit(ev core.Event) { h.s.EmitFor(h.rank, ev) }
-func (h schedEmitter) now() vclock.Time   { return h.s.Now() }
+// vpEmitter adapts a VP context.
+func vpEmitter(c *core.Ctx) emitter { return emitter{ctx: c} }
+
+// schedEmitter adapts a handler context acting for rank.
+func schedEmitter(s *core.SchedCtx, rank int) emitter { return emitter{s: s, rank: rank} }
+
+func (em emitter) emit(ev core.Event) {
+	if em.ctx != nil {
+		em.ctx.Emit(ev)
+		return
+	}
+	em.s.EmitFor(em.rank, ev)
+}
+
+func (em emitter) now() vclock.Time {
+	if em.ctx != nil {
+		return em.ctx.NowQuiet()
+	}
+	return em.s.Now()
+}
 
 // isend posts a nonblocking send and returns its request. Internal: the
 // public wrappers apply the communicator's error handler.
@@ -676,7 +686,7 @@ func (c *Comm) irecvTag(srcCommRank, tag int) *Request {
 	// Match the earliest compatible unexpected envelope first (arrival
 	// order preserves MPI's non-overtaking rule).
 	if env := e.ps.takeUnexpected(req); env != nil {
-		matchEnvelope(e.w, e.ps, req, env, vpEmitter{e.ctx})
+		matchEnvelope(e.w, e.ps, req, env, vpEmitter(e.ctx))
 		e.ps.releaseEnvelope(env)
 		if e.w.cfg.Validate {
 			e.ps.checkIndexes("irecv-match")

@@ -1,5 +1,7 @@
 package mpi
 
+import "xsim/internal/freelist"
+
 // The data-plane pools. One dpPool per engine partition holds free lists
 // for every object the point-to-point fast path would otherwise allocate
 // per message — envelopes, requests, received-message headers, the
@@ -10,6 +12,13 @@ package mpi
 // on that partition), so gets and puts need no locks, and objects that
 // travel between ranks simply migrate from the sender's pool to the
 // receiver's, exactly like the core's pooled events.
+//
+// The lists are run-lifetime freelist lists: a miss allocates a slab of
+// objects, nothing caps a list but its own in-flight high-water (which
+// keeps a pool that only receives from growing with the run's length),
+// and World.Run/RunProgs drop every list when they return. So the halo
+// burst of a large world is allocated once and reused by every later
+// exchange, and a finished world holds no pooled memory.
 //
 // Payload buffers carry ownership-transfer semantics:
 //
@@ -28,27 +37,28 @@ package mpi
 //     with Message.Release once the payload has been consumed. Unreleased
 //     messages fall to the garbage collector — correct, just slower.
 
+// Buffer size classes are powers of two from 64 B to 1 MiB; larger
+// payloads are allocated exactly and dropped on release.
 const (
-	// Buffer size classes are powers of two from 64 B to 1 MiB; larger
-	// payloads are allocated exactly and dropped on release.
 	minBufShift = 6
 	maxBufShift = 20
 	nBufClasses = maxBufShift - minBufShift + 1
-
-	// Free-list caps bound how much memory an idle pool pins.
-	maxFreeObjs        = 4096
-	maxFreeBufsPerSize = 64
 )
 
 // dpPool is one partition's data-plane free lists.
 type dpPool struct {
-	envs []*envelope
-	reqs []*Request
-	msgs []*Message
-	cts  []*ctsMsg
-	dms  []*dataMsg
+	envs freelist.List[envelope]
+	reqs freelist.List[Request]
+	msgs freelist.List[Message]
+	cts  freelist.List[ctsMsg]
+	dms  freelist.List[dataMsg]
 
-	bufs [nBufClasses][][]byte
+	bufs [nBufClasses]freelist.Stack[[]byte]
+
+	// blk is the blocking-call state set of the partition's program VPs
+	// (see Env.blocking): program steps run one at a time and every
+	// closure entry point they reach finishes without parking.
+	blk blockStates
 
 	// Counters, partition-confined like the lists; World.Metrics sums
 	// them after the run.
@@ -60,6 +70,30 @@ type dpPool struct {
 	// bufHighWater is its peak — the resident cost of in-flight payloads.
 	bufOut       int64
 	bufHighWater int64
+}
+
+// drop releases every list at the end of a run; the counters stay for
+// World.Metrics.
+func (p *dpPool) drop() {
+	p.envs.Drop()
+	p.reqs.Drop()
+	p.msgs.Drop()
+	p.cts.Drop()
+	p.dms.Drop()
+	for c := range p.bufs {
+		p.bufs[c].Drop()
+	}
+	p.blk = blockStates{}
+}
+
+// countObj records an object get as a pool hit or a miss (a slab
+// allocation).
+func (p *dpPool) countObj(fresh bool) {
+	if fresh {
+		p.objMisses++
+	} else {
+		p.objHits++
+	}
 }
 
 // bufClass returns the size-class index for a payload of the given size,
@@ -87,11 +121,7 @@ func (p *dpPool) getBuf(size int) []byte {
 		p.bufMisses++
 		return make([]byte, size)
 	}
-	list := p.bufs[c]
-	if n := len(list) - 1; n >= 0 {
-		b := list[n]
-		list[n] = nil
-		p.bufs[c] = list[:n]
+	if b, ok := p.bufs[c].Pop(); ok {
 		p.bufHits++
 		p.bufCheckout(int64(cap(b)))
 		return b[:size]
@@ -114,9 +144,7 @@ func (p *dpPool) putBuf(b []byte) {
 		return
 	}
 	p.bufOut -= int64(cap(b))
-	if len(p.bufs[c]) < maxFreeBufsPerSize {
-		p.bufs[c] = append(p.bufs[c], b[:cap(b)])
-	}
+	p.bufs[c].Push(b[:cap(b)])
 }
 
 func (p *dpPool) bufCheckout(n int64) {
@@ -128,38 +156,21 @@ func (p *dpPool) bufCheckout(n int64) {
 
 // getEnv returns a zeroed envelope from the free list.
 func (p *dpPool) getEnv() *envelope {
-	if n := len(p.envs) - 1; n >= 0 {
-		e := p.envs[n]
-		p.envs[n] = nil
-		p.envs = p.envs[:n]
-		p.objHits++
-		return e
-	}
-	p.objMisses++
-	return new(envelope)
+	e, fresh := p.envs.Get()
+	p.countObj(fresh)
+	return e
 }
 
 // putEnv recycles an envelope. The caller must have transferred or
 // released env.data first — putEnv drops the reference without returning
 // the buffer.
-func (p *dpPool) putEnv(e *envelope) {
-	*e = envelope{}
-	if len(p.envs) < maxFreeObjs {
-		p.envs = append(p.envs, e)
-	}
-}
+func (p *dpPool) putEnv(e *envelope) { p.envs.Put(e) }
 
 // getReq returns a zeroed request from the free list.
 func (p *dpPool) getReq() *Request {
-	if n := len(p.reqs) - 1; n >= 0 {
-		r := p.reqs[n]
-		p.reqs[n] = nil
-		p.reqs = p.reqs[:n]
-		p.objHits++
-		return r
-	}
-	p.objMisses++
-	return new(Request)
+	r, fresh := p.reqs.Get()
+	p.countObj(fresh)
+	return r
 }
 
 // putReq recycles a request. Only internal requests that never escape to
@@ -169,69 +180,31 @@ func (p *dpPool) getReq() *Request {
 // in-flight events cannot resurrect it because handlers look requests up
 // by id in the pending table, and a recycled request is reissued under a
 // fresh id.
-func (p *dpPool) putReq(r *Request) {
-	*r = Request{}
-	if len(p.reqs) < maxFreeObjs {
-		p.reqs = append(p.reqs, r)
-	}
-}
+func (p *dpPool) putReq(r *Request) { p.reqs.Put(r) }
 
 // getMsg returns a zeroed message header from the free list.
 func (p *dpPool) getMsg() *Message {
-	if n := len(p.msgs) - 1; n >= 0 {
-		m := p.msgs[n]
-		p.msgs[n] = nil
-		p.msgs = p.msgs[:n]
-		p.objHits++
-		return m
-	}
-	p.objMisses++
-	return new(Message)
+	m, fresh := p.msgs.Get()
+	p.countObj(fresh)
+	return m
 }
 
 // putMsg recycles a message header (not its Data — detach or release that
 // separately).
-func (p *dpPool) putMsg(m *Message) {
-	*m = Message{}
-	if len(p.msgs) < maxFreeObjs {
-		p.msgs = append(p.msgs, m)
-	}
-}
+func (p *dpPool) putMsg(m *Message) { p.msgs.Put(m) }
 
 func (p *dpPool) getCts() *ctsMsg {
-	if n := len(p.cts) - 1; n >= 0 {
-		c := p.cts[n]
-		p.cts[n] = nil
-		p.cts = p.cts[:n]
-		p.objHits++
-		return c
-	}
-	p.objMisses++
-	return new(ctsMsg)
+	c, fresh := p.cts.Get()
+	p.countObj(fresh)
+	return c
 }
 
-func (p *dpPool) putCts(c *ctsMsg) {
-	*c = ctsMsg{}
-	if len(p.cts) < maxFreeObjs {
-		p.cts = append(p.cts, c)
-	}
-}
+func (p *dpPool) putCts(c *ctsMsg) { p.cts.Put(c) }
 
 func (p *dpPool) getDm() *dataMsg {
-	if n := len(p.dms) - 1; n >= 0 {
-		d := p.dms[n]
-		p.dms[n] = nil
-		p.dms = p.dms[:n]
-		p.objHits++
-		return d
-	}
-	p.objMisses++
-	return new(dataMsg)
+	d, fresh := p.dms.Get()
+	p.countObj(fresh)
+	return d
 }
 
-func (p *dpPool) putDm(d *dataMsg) {
-	*d = dataMsg{}
-	if len(p.dms) < maxFreeObjs {
-		p.dms = append(p.dms, d)
-	}
-}
+func (p *dpPool) putDm(d *dataMsg) { p.dms.Put(d) }

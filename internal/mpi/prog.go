@@ -54,6 +54,7 @@ type Prog interface {
 // that reports done without having called Env.Finalize is treated as a
 // process failure, exactly as in Run.
 func (w *World) RunProgs(newProg func(rank int) Prog) (*core.Result, error) {
+	defer w.dropPools()
 	return w.eng.RunPrograms(func(c *core.Ctx) core.Program {
 		b := &progBundle{}
 		initProcEnv(&b.procBundle, w, c)
@@ -140,20 +141,20 @@ type blockStates struct {
 	hop   hopState
 }
 
-// blocking returns the process's blockStates, allocated at its first
-// blocking call. A program process reaches the closure entry points only
-// for calls that finish without parking (an eager Send, a Wait on a
-// completed request; anything else panics in Drive), so it gets a
-// throwaway set instead of carrying one per rank.
+// blocking returns the process's blockStates. A closure process
+// allocates its own at its first blocking call. A program process
+// reaches the closure entry points only for calls that finish without
+// parking (an eager Send, a Wait on a completed request; anything else
+// panics in Drive), and its partition runs one program step at a time,
+// so all program processes of a partition share the pool's set.
 func (e *Env) blocking() *blockStates {
-	if e.blk != nil {
-		return e.blk
+	if e.prog {
+		return &e.ps.dp.blk
 	}
-	b := new(blockStates)
-	if !e.prog {
-		e.blk = b
+	if e.blk == nil {
+		e.blk = new(blockStates)
 	}
-	return b
+	return e.blk
 }
 
 // progBundle extends the per-process allocation with the program adapter,
@@ -255,7 +256,7 @@ func (e *Env) waitStep(ws *WaitState) (done bool, park any, err error) {
 					r.waiter = ws
 					ws.pending++
 				}
-				e.ps.armTimeout(e.w, r, vpEmitter{e.ctx})
+				e.ps.armTimeout(e.w, r, vpEmitter(e.ctx))
 			}
 		}
 		e.ps.waitingOn = ws.reqs
