@@ -18,9 +18,11 @@
 #                     and program Step — run the same state machines; the
 #                     checked-in goldens are the reference: 500 per-seed
 #                     Outcome digests in closure and program mode at
-#                     Workers 1/2/4 and small Table II / I/O-ablation rows
-#                     in both ProgMode values, beside the closure-vs-
-#                     program twin tests, all under -race)
+#                     Workers 1/2/4, small Table II / I/O-ablation rows
+#                     from the drivers' default program mode and from the
+#                     closure reference, and the cache keys and outcome
+#                     digests of a six-kind campaign spec corpus, beside
+#                     the closure-vs-program twin tests, all under -race)
 #   7. fuzz smoke     (10s of coverage-guided fuzzing per parsing surface;
 #                     checked-in corpora already ran as regressions in 4)
 #   8. BenchmarkHandoff allocation gate (the context-switch hot path
@@ -87,11 +89,14 @@ echo "== golden pins and driver equivalence (-race)"
 # driver (the scheduler calling Step) run the same machines. The goldens
 # checked in before that refactor are the reference: every random
 # workload's Outcome digest (closure and program mode, Workers in
-# {1,2,4}) and the small Table II / checkpoint-I/O rows in both ProgMode
-# values must match them byte for byte. The twin tests still compare the
-# two drivers directly.
+# {1,2,4}) and the small Table II / checkpoint-I/O rows must match them
+# byte for byte. The experiment drivers run the heat workload in program
+# mode; the closure driver is the reference those rows are also checked
+# against. The campaign corpus pins each spec's cache key and the digest
+# of the outcome the service would serve for it. The twin tests still
+# compare the two drivers directly.
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestGoldenOutcomeDigests$' ./internal/mpitest/
-go test -race -count=1 -run '^(TestGoldenTables|TestGoldenDeterminism)$' .
+go test -race -count=1 -run '^(TestGoldenTables|TestGoldenCampaigns|TestGoldenDeterminism)$' .
 XSIM_DIFF_SEEDS=500 go test -race -count=1 -run '^TestDifferentialClosureVsProg$' ./internal/mpitest/
 go test -race -count=1 -run '^(TestProgHeatMatchesClosure|TestProgHeatWithFailureMatchesClosure|TestProgStepOpsMatchClosure|TestProgCollectiveWithFailureMatchesClosure)$' ./internal/mpi/
 go test -race -count=1 -run '^(TestHeatProgMatchesClosure|TestHeatProgRestartMatchesClosure)$' ./internal/heat/

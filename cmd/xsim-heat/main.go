@@ -151,11 +151,7 @@ func runSingle(ctx context.Context, spec xsim.RunSpec, iterations, interval int,
 		Seed:             spec.Seed,
 		CheckpointPrefix: "heat",
 	}
-	if spec.ProgMode {
-		camp.ProgFor = func(int) func(rank int) xsim.Prog { return xsim.RunHeatProg(hc) }
-	} else {
-		camp.AppFor = func(int) xsim.App { return xsim.RunHeat(hc) }
-	}
+	camp.ProgFor = func(int) func(rank int) xsim.Prog { return xsim.RunHeatProg(hc) }
 	res, err := camp.RunContext(ctx)
 	if err != nil {
 		log.Fatal(err)

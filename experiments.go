@@ -152,27 +152,27 @@ type expCell struct {
 	camp *CampaignResult
 }
 
-// setHeatApp installs the heat application on the campaign in the
-// requested execution mode.
-func setHeatApp(camp *Campaign, hc HeatConfig, prog bool) {
-	if prog {
-		camp.ProgFor = func(int) func(rank int) Prog { return RunHeatProg(hc) }
-	} else {
+// setHeatApp installs the heat workload on a campaign: as program-mode
+// state machines (closures only for the tests' reference runs).
+func (s *RunSpec) setHeatApp(camp *Campaign, hc HeatConfig) {
+	if s.closures {
 		camp.AppFor = func(int) App { return RunHeat(hc) }
+		return
 	}
+	camp.ProgFor = func(int) func(rank int) Prog { return RunHeatProg(hc) }
 }
 
 // runHeatE1 executes one no-failure heat run and returns its Result.
-func runHeatE1(ctx context.Context, simCfg Config, hc HeatConfig, prog bool) (*Result, error) {
+func (s *RunSpec) runHeatE1(ctx context.Context, simCfg Config, hc HeatConfig) (*Result, error) {
 	sim, err := New(simCfg)
 	if err != nil {
 		return nil, err
 	}
 	var res *Result
-	if prog {
-		res, err = sim.RunProgsContext(ctx, RunHeatProg(hc))
-	} else {
+	if s.closures {
 		res, err = sim.RunContext(ctx, RunHeat(hc))
+	} else {
+		res, err = sim.RunProgsContext(ctx, RunHeatProg(hc))
 	}
 	if err != nil {
 		return res, err
@@ -219,7 +219,7 @@ func RunTableIIContext(ctx context.Context, cfg TableIIConfig) (*TableII, error)
 		return runner.Task[expCell]{
 			Spec: runner.Spec{Index: index, Label: fmt.Sprintf("E1 c=%d", interval)},
 			Run: func(ctx context.Context) (expCell, error) {
-				res, err := runHeatE1(ctx, simCfg, heatAt(interval), cfg.ProgMode)
+				res, err := cfg.runHeatE1(ctx, simCfg, heatAt(interval))
 				return expCell{res: res}, err
 			},
 		}
@@ -253,7 +253,7 @@ func RunTableIIContext(ctx context.Context, cfg TableIIConfig) (*TableII, error)
 						MaxRuns:          cfg.MaxRuns,
 						CheckpointPrefix: "heat",
 					}
-					setHeatApp(&camp, hc, cfg.ProgMode)
+					cfg.setHeatApp(&camp, hc)
 					res, err := camp.RunContext(ctx)
 					return expCell{camp: res}, err
 				},
@@ -428,7 +428,7 @@ func RunFirstImpressionsContext(ctx context.Context, cfg FirstImpressionsConfig)
 					Seed:    seed,
 					MaxRuns: 1, // observe the first failure only
 				}
-				setHeatApp(&camp, hc, cfg.ProgMode)
+				cfg.setHeatApp(&camp, hc)
 				res, err := camp.RunContext(ctx)
 				out := firstImpressionsTrial{camp: res}
 				// The single run usually aborts; that is the point. Only
@@ -1064,7 +1064,7 @@ func RunCheckpointIOAblationContext(ctx context.Context, cfg CheckpointIOAblatio
 		tasks = append(tasks, runner.Task[expCell]{
 			Spec: runner.Spec{Index: len(tasks), Label: fmt.Sprintf("%s E1 c=%d", a.name, interval)},
 			Run: func(ctx context.Context) (expCell, error) {
-				res, err := runHeatE1(ctx, simCfg, hc, cfg.ProgMode)
+				res, err := cfg.runHeatE1(ctx, simCfg, hc)
 				return expCell{res: res}, err
 			},
 		})
@@ -1099,7 +1099,7 @@ func RunCheckpointIOAblationContext(ctx context.Context, cfg CheckpointIOAblatio
 							MaxRuns:          cfg.MaxRuns,
 							CheckpointPrefix: "heat",
 						}
-						setHeatApp(&camp, hc, cfg.ProgMode)
+						cfg.setHeatApp(&camp, hc)
 						res, err := camp.RunContext(ctx)
 						return expCell{camp: res}, err
 					},

@@ -42,7 +42,6 @@ type Flags struct {
 	workers int
 	pool    int
 	seed    int64
-	prog    bool
 	verbose bool
 }
 
@@ -64,9 +63,6 @@ func Register(fs *flag.FlagSet, opt Options) *Flags {
 	}
 	if !opt.NoSeed {
 		fs.Int64Var(&f.seed, "seed", opt.Seed, "random seed")
-	}
-	if opt.Ranks != 0 {
-		fs.BoolVar(&f.prog, "prog", false, "run ranks as program-mode state machines (identical results, far less memory at high rank counts)")
 	}
 	fs.BoolVar(&f.verbose, "v", false, "print simulator informational messages")
 	return f
@@ -99,11 +95,10 @@ func (f *Flags) Spec() (xsim.RunSpec, error) {
 		return xsim.RunSpec{}, fmt.Errorf("-pool must be non-negative, got %d", f.pool)
 	}
 	return xsim.RunSpec{
-		Ranks:    f.ranks,
-		Workers:  f.workers,
-		Pool:     f.pool,
-		Seed:     f.seed,
-		ProgMode: f.prog,
-		Logf:     f.Logf(),
+		Ranks:   f.ranks,
+		Workers: f.workers,
+		Pool:    f.pool,
+		Seed:    f.seed,
+		Logf:    f.Logf(),
 	}, nil
 }

@@ -117,7 +117,7 @@ func RunIntervalSweepContext(ctx context.Context, cfg IntervalSweepConfig) (*Int
 		return runner.Task[expCell]{
 			Spec: runner.Spec{Index: index, Label: fmt.Sprintf("E1 c=%d", interval)},
 			Run: func(ctx context.Context) (expCell, error) {
-				res, err := runHeatE1(ctx, simCfg, heatAt(interval), cfg.ProgMode)
+				res, err := cfg.runHeatE1(ctx, simCfg, heatAt(interval))
 				return expCell{res: res}, err
 			},
 		}
@@ -147,7 +147,7 @@ func RunIntervalSweepContext(ctx context.Context, cfg IntervalSweepConfig) (*Int
 						Seed:             seed,
 						CheckpointPrefix: "heat",
 					}
-					setHeatApp(&camp, hc, cfg.ProgMode)
+					cfg.setHeatApp(&camp, hc)
 					res, err := camp.RunContext(ctx)
 					return expCell{camp: res}, err
 				},

@@ -391,12 +391,12 @@ func TestRunTableIIDeterministic(t *testing.T) {
 }
 
 // TestRunTableIIProgModeMatchesClosure pins the headline experiment's
-// program-mode switch: the full Table II grid — E1 runs and every
-// failure/restart campaign cell — must be row-identical in both
-// execution modes.
+// program-mode default against the closure reference: the full Table II
+// grid — E1 runs and every failure/restart campaign cell — must be
+// row-identical in both execution modes.
 func TestRunTableIIProgModeMatchesClosure(t *testing.T) {
-	ref := runSmallTableII(t)
-	tab, err := RunTableII(TableIIConfig{RunSpec: RunSpec{Ranks: 64, Seed: 133, ProgMode: true}})
+	tab := runSmallTableII(t)
+	ref, err := RunTableII(TableIIConfig{RunSpec: RunSpec{Ranks: 64, Seed: 133, closures: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,6 +701,45 @@ func TestParallelWorkersMatchSequential(t *testing.T) {
 	for r := range seq.PerRank {
 		if seq.PerRank[r] != par.PerRank[r] {
 			t.Fatalf("rank %d: sequential %v != parallel %v", r, seq.PerRank[r], par.PerRank[r])
+		}
+	}
+}
+
+// TestDriversRunHeatInProgramMode pins the execution mode of every heat
+// experiment driver: with a default config the heat ranks run as
+// program-mode state machines, so the pooled engine counters show
+// program steps and never a goroutine carrier.
+func TestDriversRunHeatInProgramMode(t *testing.T) {
+	spec := RunSpec{Ranks: 64, Seed: 133}
+	runs := []struct {
+		name string
+		run  func() (CampaignStats, error)
+	}{
+		{"table2", func() (CampaignStats, error) {
+			r, err := RunTableII(TableIIConfig{RunSpec: spec})
+			return r.Stats, err
+		}},
+		{"interval-sweep", func() (CampaignStats, error) {
+			r, err := RunIntervalSweep(IntervalSweepConfig{RunSpec: spec})
+			return r.Stats, err
+		}},
+		{"first-impressions", func() (CampaignStats, error) {
+			r, err := RunFirstImpressions(FirstImpressionsConfig{RunSpec: spec})
+			return r.Stats, err
+		}},
+		{"io-ablation", func() (CampaignStats, error) {
+			r, err := RunCheckpointIOAblation(CheckpointIOAblationConfig{RunSpec: spec})
+			return r.Stats, err
+		}},
+	}
+	for _, r := range runs {
+		st, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if st.Engine.ProgramSteps == 0 || st.Engine.CarriersHighWater != 0 {
+			t.Errorf("%s: ProgramSteps = %d, CarriersHighWater = %d; want program mode (steps > 0, no carriers)",
+				r.name, st.Engine.ProgramSteps, st.Engine.CarriersHighWater)
 		}
 	}
 }
